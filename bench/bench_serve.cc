@@ -115,17 +115,12 @@ void RunDataset(const char* name, const DatabaseNetwork& net, size_t queries,
     options.tracing = tracing;
     QueryService service(tree, net.dictionary(), options);
 
-    service.stats().Reset();
     service.ExecuteBatch(workload);
     const ServeReport cold = service.Report();
 
-    service.stats().Reset();
-    const ResultCacheStats before = service.cache_stats();
     service.ExecuteBatch(workload);
-    const ServeReport warm = service.Report();
-    ResultCacheStats delta = warm.cache;
-    delta.hits -= before.hits;
-    delta.misses -= before.misses;
+    const ServeReport warm = service.Report().Since(cold);
+    const ResultCacheStats& delta = warm.cache;
 
     table.AddRow({TextTable::Num(static_cast<uint64_t>(threads)),
                   TextTable::Num(cold.qps, 0), TextTable::Num(cold.p99_us, 1),
@@ -230,20 +225,12 @@ void RunZipfDataset(const char* name, const DatabaseNetwork& net,
     options.tracing = tracing;
     QueryService service(tree, net.dictionary(), options);
 
-    service.stats().Reset();
     service.ExecuteBatch(warmup);
     const ServeReport warm = service.Report();
 
-    service.stats().Reset();
-    const ResultCacheStats before = service.cache_stats();
     service.ExecuteBatch(fresh);
-    const ServeReport measured = service.Report();
-    ResultCacheStats delta = measured.cache;
-    delta.hits -= before.hits;
-    delta.misses -= before.misses;
-    delta.partial_hits -= before.partial_hits;
-    delta.composed_queries -= before.composed_queries;
-    delta.admission_rejects -= before.admission_rejects;
+    const ServeReport measured = service.Report().Since(warm);
+    const ResultCacheStats& delta = measured.cache;
 
     fresh_qps[composable] = measured.qps;
     if (composable) {
@@ -325,24 +312,19 @@ void RunShardDataset(const char* name, const DatabaseNetwork& net,
           tree, net.dictionary(), shards, options);
     }
 
-    backend->stats().Reset();
     backend->ExecuteBatch(cold);
     const ServeReport cold_report = backend->Report();
 
-    const uint64_t shard_queries_before = backend->Report().shard_queries;
-    backend->stats().Reset();
     backend->ExecuteBatch(fresh);
-    const ServeReport report = backend->Report();
+    const ServeReport report = backend->Report().Since(cold_report);
 
     const uint64_t trusses =
         cold_report.trusses_returned + report.trusses_returned;
     if (shards == 1) expect_trusses = trusses;
     if (trusses != expect_trusses) parity_ok = false;
-    // shard_queries is a lifetime counter; scope it to the fresh pass.
     const double fanout =
         report.queries > 0 && report.shards > 0
-            ? static_cast<double>(report.shard_queries -
-                                  shard_queries_before) /
+            ? static_cast<double>(report.shard_queries) /
                   static_cast<double>(report.queries)
             : 1.0;
     table.AddRow({shards == 1 ? "1 (unsharded)" : TextTable::Num(shards),
@@ -606,11 +588,10 @@ void RunChurnDataset(const char* name,
     const std::vector<ServeQuery> workload = MakeWorkload(net, queries, 17);
 
     // Base pass: the same warm-cache traffic with no updates in flight.
-    backend->stats().Reset();
     backend->ExecuteBatch(workload);
-    backend->stats().Reset();
+    const ServeReport warmed = backend->Report();
     backend->ExecuteBatch(workload);
-    const ServeReport base = backend->Report();
+    const ServeReport base = backend->Report().Since(warmed);
 
     // The replay MUST use the options the serving tree was built with;
     // an unbounded replay of a capped build would re-enumerate the full
@@ -625,7 +606,8 @@ void RunChurnDataset(const char* name,
         build_options);
 
     std::atomic<bool> stop{false};
-    backend->stats().Reset();  // cache stays warm: survivors keep serving
+    // The cache stays warm: survivors keep serving.
+    const ServeReport before_churn = backend->Report();
     std::vector<std::thread> readers;
     for (size_t r = 0; r < 4; ++r) {
       readers.emplace_back([&, r] {
@@ -657,7 +639,7 @@ void RunChurnDataset(const char* name,
     }
     stop.store(true, std::memory_order_release);
     for (auto& th : readers) th.join();
-    const ServeReport churn = backend->Report();
+    const ServeReport churn = backend->Report().Since(before_churn);
 
     std::sort(freshness.begin(), freshness.end());
     const double fresh_p50 =
@@ -837,19 +819,14 @@ void RunNetworkDataset(const char* name, const DatabaseNetwork& net,
       return;
     }
 
-    service.stats().Reset();
     const PassResult cold = NetworkPass(server.port(), lines, connections,
                                         depth);
     const ServeReport cold_srv = service.Report();
 
-    const ResultCacheStats before = service.cache_stats();
-    service.stats().Reset();
     const PassResult warm = NetworkPass(server.port(), lines, connections,
                                         depth);
-    const ServeReport warm_srv = service.Report();
-    ResultCacheStats delta = service.cache_stats();
-    delta.hits -= before.hits;
-    delta.misses -= before.misses;
+    const ServeReport warm_srv = service.Report().Since(cold_srv);
+    const ResultCacheStats& delta = warm_srv.cache;
 
     client_table.AddRow({TextTable::Num(static_cast<uint64_t>(connections)),
                          TextTable::Num(cold.qps, 0),

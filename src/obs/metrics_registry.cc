@@ -68,7 +68,6 @@ void Histogram::Record(double value) {
   while (b + 1 < kBuckets && value > BucketBound(b)) ++b;
   Stripe& s = stripes_[ThisThreadStripe(kStripes)];
   s.buckets[b].fetch_add(1, std::memory_order_relaxed);
-  s.count.fetch_add(1, std::memory_order_relaxed);
   AtomicAdd(s.sum, value);
 }
 
@@ -76,9 +75,10 @@ Histogram::Snapshot Histogram::Fold() const {
   Snapshot snap;
   for (const Stripe& s : stripes_) {
     for (size_t b = 0; b < kBuckets; ++b) {
-      snap.buckets[b] += s.buckets[b].load(std::memory_order_relaxed);
+      const uint64_t n = s.buckets[b].load(std::memory_order_relaxed);
+      snap.buckets[b] += n;
+      snap.count += n;
     }
-    snap.count += s.count.load(std::memory_order_relaxed);
     snap.sum += s.sum.load(std::memory_order_relaxed);
   }
   return snap;

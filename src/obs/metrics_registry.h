@@ -64,9 +64,9 @@ class Gauge {
 /// \brief Log2-bucketed histogram for positive samples (microseconds,
 /// node counts, frontier widths). Bucket upper bounds are 1, 2, 4, ...,
 /// 2^20, +Inf — 22 buckets spanning sub-microsecond to ~1 s with ≤ 2×
-/// relative error, which is all a latency tail needs. Recording is two
-/// relaxed atomic adds (bucket + count) and one CAS-add (sum) on the
-/// calling thread's stripe; no mutex, no allocation.
+/// relative error, which is all a latency tail needs. Recording is one
+/// relaxed atomic add (bucket) and one CAS-add (sum) on the calling
+/// thread's stripe; no mutex, no allocation.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 22;  // le=2^0 .. 2^20, then +Inf
@@ -77,7 +77,7 @@ class Histogram {
   /// Point-in-time fold of all stripes.
   struct Snapshot {
     std::array<uint64_t, kBuckets> buckets{};  // per-bucket counts
-    uint64_t count = 0;
+    uint64_t count = 0;  // sum of `buckets`, so a fold is never torn
     double sum = 0;
   };
   Snapshot Fold() const;
@@ -88,7 +88,6 @@ class Histogram {
  private:
   struct alignas(kMetricCacheLine) Stripe {
     std::array<std::atomic<uint64_t>, kBuckets> buckets{};
-    std::atomic<uint64_t> count{0};
     std::atomic<double> sum{0};
   };
   std::array<Stripe, kStripes> stripes_{};

@@ -21,6 +21,7 @@ QueryService::QueryService(TcTreeSnapshot snapshot, ItemDictionary dictionary,
       options_(options),
       pool_(options.num_threads == 0 ? HardwareThreads()
                                      : options.num_threads),
+      stats_(metrics_),
       queries_total_(metrics_.GetCounter("tcf_queries_total",
                                          "Queries answered by Execute")),
       cache_hits_total_(metrics_.GetCounter(
@@ -44,8 +45,6 @@ QueryService::QueryService(TcTreeSnapshot snapshot, ItemDictionary dictionary,
       slow_queries_total_(metrics_.GetCounter(
           "tcf_slow_queries_total",
           "Queries admitted to the slow-query ring")),
-      query_total_us_(metrics_.GetHistogram(
-          "tcf_query_total_us", "End-to-end Execute wall microseconds")),
       snapshot_(std::make_shared<const TcTreeSnapshot>(std::move(snapshot))) {
   for (size_t i = 0; i < kNumQueryStages; ++i) {
     const auto stage = static_cast<QueryStage>(i);
@@ -95,12 +94,6 @@ QueryService::QueryService(TcTreeSnapshot snapshot, ItemDictionary dictionary,
       "EWMA of full-walk miss CPU microseconds (composition gate input)",
       MetricsRegistry::CallbackKind::kGauge,
       [this] { return walk_us_ewma_.load(std::memory_order_relaxed); });
-  metrics_.RegisterCallback(
-      "tcf_query_latency_p99_us",
-      "p99 end-to-end query latency, interpolated from the "
-      "tcf_query_total_us buckets (0 until a traced query lands)",
-      MetricsRegistry::CallbackKind::kGauge,
-      [this] { return HistogramQuantile(query_total_us_.Fold(), 0.99); });
 }
 
 StatusOr<std::unique_ptr<QueryService>> QueryService::Open(
@@ -193,7 +186,6 @@ std::string QueryService::RenderQueryLine(const ServeQuery& query) const {
 
 void QueryService::RecordTrace(const ServeQuery& query,
                                const QueryTrace& trace) {
-  query_total_us_.Record(trace.total_us);
   // kParse/kSerialize belong to the transport; Execute's stages are the
   // middle three. Zero-duration stages that never ran stay out of their
   // histograms so the bucket counts mean "times this stage executed".

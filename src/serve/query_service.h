@@ -245,7 +245,6 @@ class QueryService : public QueryBackend {
   Counter& nodes_visited_total_;
   Counter& prunes_total_;
   Counter& slow_queries_total_;
-  Histogram& query_total_us_;
   std::array<Histogram*, kNumQueryStages> stage_us_;
   /// EWMA (α = 0.1) of full-walk miss latency, µs. Composed misses do
   /// not update it — it tracks what a walk *would* cost, so the gate

@@ -1,23 +1,63 @@
 #include "serve/serve_stats.h"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
-#include <thread>
-
-#include "util/string_util.h"
 
 namespace tcf {
 namespace {
 
-/// Exact percentile of a sorted sample set (nearest-rank).
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0;
-  const size_t rank = static_cast<size_t>(p * (sorted.size() - 1) + 0.5);
-  return sorted[std::min(rank, sorted.size() - 1)];
+/// Fills the fields derived from `r->latency` and `r->wall_seconds`.
+void DeriveLatencyFields(ServeReport* r) {
+  r->queries = r->latency.count;
+  r->qps = r->wall_seconds > 0
+               ? static_cast<double>(r->queries) / r->wall_seconds
+               : 0;
+  r->mean_us = r->queries > 0
+                   ? r->latency.sum / static_cast<double>(r->queries)
+                   : 0;
+  r->p50_us = HistogramQuantile(r->latency, 0.50);
+  r->p90_us = HistogramQuantile(r->latency, 0.90);
+  r->p99_us = HistogramQuantile(r->latency, 0.99);
+  r->max_us = HistogramQuantile(r->latency, 1.0);
 }
 
 }  // namespace
+
+ServeReport ServeReport::Since(const ServeReport& before) const {
+  ServeReport d = *this;
+  d.wall_seconds = wall_seconds - before.wall_seconds;
+  for (size_t b = 0; b < Histogram::kBuckets; ++b) {
+    d.latency.buckets[b] -= before.latency.buckets[b];
+  }
+  d.latency.count -= before.latency.count;
+  d.latency.sum -= before.latency.sum;
+  DeriveLatencyFields(&d);
+  d.trusses_returned -= before.trusses_returned;
+  d.cache.hits -= before.cache.hits;
+  d.cache.misses -= before.cache.misses;
+  d.cache.inserts -= before.cache.inserts;
+  d.cache.evictions -= before.cache.evictions;
+  d.cache.invalidations -= before.cache.invalidations;
+  d.cache.partial_hits -= before.cache.partial_hits;
+  d.cache.composed_queries -= before.cache.composed_queries;
+  d.cache.admission_rejects -= before.cache.admission_rejects;
+  d.connections_accepted -= before.connections_accepted;
+  d.bytes_in -= before.bytes_in;
+  d.bytes_out -= before.bytes_out;
+  d.batches -= before.batches;
+  d.batch_queries -= before.batch_queries;
+  d.reloads -= before.reloads;
+  d.shard_queries -= before.shard_queries;
+  d.updates -= before.updates;
+  d.update_txs -= before.update_txs;
+  d.update_edges -= before.update_edges;
+  d.update_dirty_items -= before.update_dirty_items;
+  d.update_shards_swapped -= before.update_shards_swapped;
+  d.deadline_exceeded -= before.deadline_exceeded;
+  d.rate_limited -= before.rate_limited;
+  d.shed -= before.shed;
+  return d;
+}
 
 TextTable ServeReport::ToTable() const {
   TextTable t({"metric", "value"});
@@ -105,18 +145,23 @@ std::string ServeReport::ToString() const {
   return os.str();
 }
 
-ServeStats::ServeStats() = default;
-
-ServeStats::Stripe& ServeStats::StripeForThisThread() {
-  const size_t h = std::hash<std::thread::id>{}(std::this_thread::get_id());
-  return stripes_[h % kStripes];
+ServeStats::ServeStats(MetricsRegistry& registry)
+    : latency_us_(registry.GetHistogram(
+          "tcf_query_total_us",
+          "End-to-end Execute wall microseconds of every answered query")),
+      trusses_(registry.GetCounter("tcf_query_trusses_total",
+                                   "Trusses returned by answered queries")) {
+  registry.RegisterCallback(
+      "tcf_query_latency_p99_us",
+      "p99 end-to-end query latency, interpolated from the "
+      "tcf_query_total_us buckets (0 until a query is answered)",
+      MetricsRegistry::CallbackKind::kGauge,
+      [this] { return HistogramQuantile(latency_us_.Fold(), 0.99); });
 }
 
 void ServeStats::RecordQuery(double latency_us, uint64_t num_trusses) {
-  Stripe& stripe = StripeForThisThread();
-  std::lock_guard<std::mutex> lock(stripe.mu);
-  stripe.latencies_us.push_back(latency_us);
-  stripe.trusses += num_trusses;
+  latency_us_.Record(latency_us);
+  trusses_.Increment(num_trusses);
 }
 
 void ServeStats::RecordConnectionOpened() {
@@ -269,15 +314,6 @@ void ServeStats::RegisterMetrics(MetricsRegistry* registry) {
       MetricsRegistry::CallbackKind::kGauge, counter(&clients_tracked_));
 }
 
-void ServeStats::Reset() {
-  for (Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    stripe.latencies_us.clear();
-    stripe.trusses = 0;
-  }
-  wall_.Reset();
-}
-
 ServeReport ServeStats::Report(const ResultCacheStats& cache) const {
   ServeReport report;
   report.cache = cache;
@@ -310,27 +346,9 @@ ServeReport ServeStats::Report(const ResultCacheStats& cache) const {
   report.shed = shed_.load(std::memory_order_relaxed);
   report.clients_tracked = clients_tracked_.load(std::memory_order_relaxed);
 
-  std::vector<double> all;
-  for (const Stripe& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    all.insert(all.end(), stripe.latencies_us.begin(),
-               stripe.latencies_us.end());
-    report.trusses_returned += stripe.trusses;
-  }
-  report.queries = all.size();
-  if (report.wall_seconds > 0) {
-    report.qps = static_cast<double>(report.queries) / report.wall_seconds;
-  }
-  if (all.empty()) return report;
-
-  std::sort(all.begin(), all.end());
-  double sum = 0;
-  for (double v : all) sum += v;
-  report.mean_us = sum / static_cast<double>(all.size());
-  report.p50_us = Percentile(all, 0.50);
-  report.p90_us = Percentile(all, 0.90);
-  report.p99_us = Percentile(all, 0.99);
-  report.max_us = all.back();
+  report.trusses_returned = trusses_.Value();
+  report.latency = latency_us_.Fold();
+  DeriveLatencyFields(&report);
   return report;
 }
 

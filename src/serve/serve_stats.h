@@ -3,9 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
 
 #include "obs/metrics_registry.h"
 #include "serve/result_cache.h"
@@ -16,21 +14,24 @@ namespace tcf {
 
 /// Point-in-time summary produced by ServeStats::Report().
 struct ServeReport {
-  uint64_t queries = 0;
+  uint64_t queries = 0;      // answered queries (latency.count)
   uint64_t trusses_returned = 0;
-  double wall_seconds = 0;   // since construction or the last Reset()
+  double wall_seconds = 0;   // since the collector was constructed
   double qps = 0;            // queries / wall_seconds
   double mean_us = 0;        // per-query latency, microseconds
+  // Percentiles interpolate inside the log2 buckets of `latency`
+  // (HistogramQuantile): at most 2x off, clamped at 2^20 us. max_us is
+  // the upper bound of the highest non-empty bucket.
   double p50_us = 0;
   double p90_us = 0;
   double p99_us = 0;
   double max_us = 0;
   ResultCacheStats cache;    // zero-initialized if no cache attached
+  /// The fold of tcf_query_total_us the latency fields above derive
+  /// from; Since() subtracts it bucket by bucket.
+  Histogram::Snapshot latency;
 
-  // Network-transport counters (zero when serving in-process). Unlike
-  // the latency fields these are lifetime-of-server, not per-pass: they
-  // survive Reset() so "connections served" never goes backwards while
-  // clients are attached.
+  // Network-transport counters (zero when serving in-process).
   uint64_t connections_accepted = 0;
   uint64_t connections_active = 0;  // accepted minus closed
   uint64_t connections_peak = 0;    // high-water mark of active
@@ -86,6 +87,13 @@ struct ServeReport {
   uint64_t shed = 0;
   uint64_t clients_tracked = 0;
 
+  /// What was recorded between `before` (an earlier report of the same
+  /// collector) and this report: counters, latency buckets and wall
+  /// time are differences, gauges (active connections, peaks, last-ms
+  /// values, cache residency) keep this report's value. Per-pass tables
+  /// (`tcf serve --repeat`, bench_serve) are built from it.
+  ServeReport Since(const ServeReport& before) const;
+
   /// Renders the report as a two-column (metric, value) table.
   TextTable ToTable() const;
   std::string ToString() const;
@@ -93,20 +101,24 @@ struct ServeReport {
 
 /// \brief Thread-safe latency/throughput collector for the serving layer.
 ///
-/// Latencies are recorded into lock-striped buffers (a worker hits one
-/// mutex uncontended in the common case); Report() merges the stripes,
-/// sorts once, and reads exact percentiles — no histogram approximation,
-/// which at serve-test scales (≤ millions of samples) is cheap and keeps
-/// tail numbers trustworthy. Wall time for QPS comes from util/timer.h's
-/// WallTimer, started at construction or the last Reset().
+/// Every answered query lands in the `tcf_query_total_us` log2
+/// histogram and the `tcf_query_trusses_total` counter of the registry
+/// handed to the constructor — the same instruments METRICS renders —
+/// so recording is a few relaxed atomic adds (no mutex, no allocation)
+/// and memory and Report() cost are independent of uptime. Report() is
+/// cumulative over the collector's lifetime; wall time for QPS comes
+/// from util/timer.h's WallTimer, started at construction.
 class ServeStats {
  public:
-  ServeStats();
+  /// `registry` owns the latency histogram and truss counter and must
+  /// outlive this collector; this collector must outlive the
+  /// registry's last Render() (it backs the p99 callback gauge).
+  explicit ServeStats(MetricsRegistry& registry);
 
   ServeStats(const ServeStats&) = delete;
   ServeStats& operator=(const ServeStats&) = delete;
 
-  /// Records one finished query.
+  /// Records one answered query.
   void RecordQuery(double latency_us, uint64_t num_trusses);
 
   /// Records one accepted network connection (TcpServer's accept path)
@@ -144,14 +156,8 @@ class ServeStats {
   /// (set by the transport whenever the table changes).
   void SetClientsTracked(uint64_t n);
 
-  /// Forgets all samples and restarts the wall clock (used between the
-  /// cold and warm passes of `tcf serve --repeat`). Network counters are
-  /// cumulative over the collector's lifetime and are *not* reset — a
-  /// pass boundary must not make a still-open connection disappear.
-  void Reset();
-
-  /// Summarizes everything recorded since the last Reset(). Pass the
-  /// cache's counters to fold the hit rate into the report.
+  /// Summarizes everything recorded so far. Pass the cache's counters
+  /// to fold the hit rate into the report.
   ServeReport Report(const ResultCacheStats& cache = {}) const;
 
   /// Exports the transport counters into `registry` as callback
@@ -162,16 +168,8 @@ class ServeStats {
   void RegisterMetrics(MetricsRegistry* registry);
 
  private:
-  struct Stripe {
-    mutable std::mutex mu;
-    std::vector<double> latencies_us;
-    uint64_t trusses = 0;
-  };
-  static constexpr size_t kStripes = 16;
-
-  Stripe& StripeForThisThread();
-
-  std::vector<Stripe> stripes_{kStripes};
+  Histogram& latency_us_;
+  Counter& trusses_;
   WallTimer wall_;
 
   std::atomic<uint64_t> connections_opened_{0};

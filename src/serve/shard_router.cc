@@ -85,6 +85,7 @@ ShardedQueryService::ShardedQueryService(
       partitioner_(std::move(init.partitioner)),
       pool_(options.num_threads == 0 ? HardwareThreads()
                                      : options.num_threads),
+      stats_(metrics_),
       queries_total_(metrics_.GetCounter("tcf_queries_total",
                                          "Queries answered by Execute")),
       shard_queries_total_(metrics_.GetCounter(
@@ -93,8 +94,6 @@ ShardedQueryService::ShardedQueryService(
       slow_queries_total_(metrics_.GetCounter(
           "tcf_slow_queries_total",
           "Queries admitted to the slow-query ring")),
-      query_total_us_(metrics_.GetHistogram(
-          "tcf_query_total_us", "End-to-end Execute wall microseconds")),
       fanout_(metrics_.GetHistogram(
           "tcf_shard_fanout", "Shards probed per query (scatter width)")),
       shard_reload_ms_(metrics_.GetGauge(
@@ -170,12 +169,6 @@ ShardedQueryService::ShardedQueryService(
         });
   }
   stats_.RegisterMetrics(&metrics_);
-  metrics_.RegisterCallback(
-      "tcf_query_latency_p99_us",
-      "p99 end-to-end query latency, interpolated from the "
-      "tcf_query_total_us buckets (0 until a traced query lands)",
-      MetricsRegistry::CallbackKind::kGauge,
-      [this] { return HistogramQuantile(query_total_us_.Fold(), 0.99); });
 }
 
 bool ShardedQueryService::ShouldTrace() {
@@ -504,7 +497,6 @@ std::string ShardedQueryService::RenderQueryLine(
 
 void ShardedQueryService::RecordTrace(const ServeQuery& query,
                                       const QueryTrace& trace) {
-  query_total_us_.Record(trace.total_us);
   for (const QueryStage stage :
        {QueryStage::kCacheProbe, QueryStage::kCompose, QueryStage::kWalk}) {
     const double us = trace.stage_wall_us[static_cast<size_t>(stage)];

@@ -210,7 +210,6 @@ class ShardedQueryService : public QueryBackend {
   Counter& queries_total_;
   Counter& shard_queries_total_;
   Counter& slow_queries_total_;
-  Histogram& query_total_us_;
   Histogram& fanout_;
   Gauge& shard_reload_ms_;
   std::vector<Counter*> per_shard_queries_;

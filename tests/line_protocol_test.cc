@@ -302,6 +302,31 @@ TEST(LineProtocolTest, QueryLineRoundTrip) {
 
 // ------------------------------------------------------------ stats payload
 
+// The STATS contract: exactly the keys docs/serve-protocol.md lists,
+// in that order (StatsRoundTrip looks keys up by name and would miss a
+// reorder).
+TEST(LineProtocolTest, StatsKeysAndOrderArePinned) {
+  const std::vector<std::string> expected = {
+      "queries", "trusses_returned", "wall_seconds", "qps", "mean_us",
+      "p50_us", "p90_us", "p99_us", "max_us", "cache_hits", "cache_misses",
+      "cache_hit_rate", "cache_entries", "cache_bytes", "snapshot_swaps",
+      "connections_accepted", "connections_active", "connections_peak",
+      "bytes_in", "bytes_out", "batches", "batch_queries", "batch_max_depth",
+      "cache_partial_hits", "cache_composed_queries",
+      "cache_admission_rejects", "reloads", "last_reload_ms", "shards",
+      "shard_queries", "shard_reload_ms", "updates", "update_txs",
+      "update_edges", "update_dirty_items", "update_shards_swapped",
+      "last_update_ms", "deadline_exceeded", "rate_limited", "shed",
+      "clients_tracked"};
+  ASSERT_EQ(expected.size(), 41u);
+  const std::vector<std::string> lines = EncodeStats(ServeReport{});
+  ASSERT_EQ(lines.size(), expected.size());
+  for (size_t i = 0; i < lines.size(); ++i) {
+    EXPECT_EQ(lines[i].substr(0, lines[i].find(' ')), expected[i])
+        << "line " << i << ": " << lines[i];
+  }
+}
+
 TEST(LineProtocolTest, StatsRoundTrip) {
   ServeReport report;
   report.queries = 1234;

@@ -11,6 +11,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -20,6 +21,7 @@
 #include "core/tc_tree.h"
 #include "core/tc_tree_io.h"
 #include "core/tc_tree_query.h"
+#include "core/tc_tree_update.h"
 #include "obs/trace.h"
 #include "serve/client.h"
 #include "serve/line_protocol.h"
@@ -1018,12 +1020,152 @@ TEST(TcpServerTest, TracingOffStillServesMetricsAndExplain) {
   // Counters advance untraced (1 query + 1 explain = 2 executes)...
   EXPECT_NE(scrape->find("tcf_queries_total 2\n"), std::string::npos)
       << *scrape;
-  // ...but the per-query histograms stay empty for untraced requests:
-  // only the explicit EXPLAIN trace recorded one sample.
-  EXPECT_NE(scrape->find("tcf_query_total_us_count 1\n"),
+  // ...and so does the end-to-end latency histogram, which counts every
+  // answered query whether traced or not...
+  EXPECT_NE(scrape->find("tcf_query_total_us_count 2\n"),
+            std::string::npos)
+      << *scrape;
+  // ...but the stage histograms stay empty for untraced requests: the
+  // untraced query walked, the traced EXPLAIN replay was a cache hit.
+  EXPECT_NE(scrape->find("tcf_query_stage_walk_us_count 0\n"),
             std::string::npos)
       << *scrape;
   EXPECT_TRUE(client->Quit().ok());
+}
+
+/// `key value` lines (STATS payload or Prometheus text) as a map;
+/// comment lines and histogram bucket series are skipped.
+std::map<std::string, double> ParseKeyValues(
+    const std::vector<std::string>& lines) {
+  std::map<std::string, double> out;
+  for (const std::string& line : lines) {
+    if (line.empty() || line[0] == '#') continue;
+    const size_t space = line.find(' ');
+    if (space == std::string::npos || line.find('{') < space) continue;
+    out[line.substr(0, space)] = std::strtod(line.c_str() + space + 1,
+                                             nullptr);
+  }
+  return out;
+}
+
+/// One mixed session — queries, a BATCH, a RELOAD, an UPDATE, an
+/// expired deadline and a rate-limited request — then every STATS key
+/// with a METRICS twin must read the same value.
+void ExpectStatsAgreeWithMetrics(size_t num_shards) {
+  SCOPED_TRACE("num_shards=" + std::to_string(num_shards));
+  DatabaseNetwork net = MakeRandomNetwork({});
+  TcTree tree = TcTree::Build(net);
+  std::unique_ptr<QueryBackend> backend;
+  if (num_shards == 1) {
+    backend = std::make_unique<QueryService>(tree, net.dictionary());
+  } else {
+    backend = std::make_unique<ShardedQueryService>(tree, net.dictionary(),
+                                                    num_shards);
+  }
+  const std::string index_path = ::testing::TempDir() + "tcf_agree.idx";
+  ASSERT_TRUE(SaveTcTreeToFile(tree, index_path).ok());
+  IndexUpdater updater(
+      MakeRandomNetwork({}), tree,
+      [&](TcTree t, const std::vector<ItemId>& changed_roots,
+          const std::vector<ItemId>& dirty_items) {
+        return backend->ApplyUpdatedSnapshot(std::move(t), changed_roots,
+                                             dirty_items);
+      });
+  TcpServerOptions options;
+  options.updater = &updater;
+  options.rate_limit_qps = 0.001;  // no refill within the test
+  options.rate_limit_burst = 16;
+  TcpServer server(*backend, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto client = MustConnect(server);
+  ASSERT_NE(client, nullptr);
+  ASSERT_TRUE(client->Query("0.05;i0").ok());
+  ASSERT_TRUE(client->Query("0.05;i0,i1").ok());
+  ASSERT_TRUE(client->Batch({"0.05;i2", "0.05;i0", "nan;i0"}).ok());
+  ASSERT_TRUE(client->Reload(index_path).ok());
+  NetworkUpdate update;
+  update.edges.push_back({0, 5});
+  auto updated = client->Update(EncodeUpdate(net.dictionary(), update));
+  ASSERT_TRUE(updated.ok()) << updated.status();
+  // An already-spent budget expires deterministically; it runs through
+  // the same backend the server records into.
+  ServeQuery expired;
+  expired.items = Itemset({0, 1, 2});
+  expired.alpha = 0.05;
+  expired.deadline = Deadline::Expired();
+  EXPECT_TRUE(backend->Execute(expired)->deadline_exceeded);
+  bool limited = false;
+  for (int i = 0; i < 32 && !limited; ++i) {
+    auto reply = client->Query("0.05;i1");
+    limited = reply.status().code() == Status::Code::kRateLimited;
+  }
+  ASSERT_TRUE(limited);
+
+  // STATS and METRICS are separate exchanges whose own bytes land in
+  // between, so both views are taken in-process while idle: the STATS
+  // payload EncodeStats renders and the METRICS exposition.
+  const std::map<std::string, double> stats =
+      ParseKeyValues(EncodeStats(backend->Report()));
+  const std::map<std::string, double> metrics =
+      ParseKeyValues(Split(backend->metrics().Render(), '\n'));
+  const std::vector<std::pair<std::string, std::string>> twins = {
+      {"queries", "tcf_query_total_us_count"},
+      {"trusses_returned", "tcf_query_trusses_total"},
+      {"cache_entries", "tcf_cache_entries"},
+      {"cache_bytes", "tcf_cache_bytes"},
+      {"connections_accepted", "tcf_connections_accepted_total"},
+      {"connections_active", "tcf_connections_active"},
+      {"connections_peak", "tcf_connections_peak"},
+      {"bytes_in", "tcf_bytes_in_total"},
+      {"bytes_out", "tcf_bytes_out_total"},
+      {"batches", "tcf_batches_total"},
+      {"batch_queries", "tcf_batch_queries_total"},
+      {"cache_partial_hits", "tcf_cache_partial_hits_total"},
+      {"cache_admission_rejects", "tcf_cache_admission_rejects_total"},
+      {"reloads", "tcf_reloads_total"},
+      {"last_reload_ms", "tcf_last_reload_ms"},
+      {"updates", "tcf_updates_total"},
+      {"update_txs", "tcf_update_txs_total"},
+      {"update_edges", "tcf_update_edges_total"},
+      {"update_dirty_items", "tcf_update_dirty_items_total"},
+      {"update_shards_swapped", "tcf_update_shards_swapped_total"},
+      {"last_update_ms", "tcf_last_update_ms"},
+      {"deadline_exceeded", "tcf_deadline_exceeded_total"},
+      {"rate_limited", "tcf_rate_limited_total"},
+      {"shed", "tcf_shed_total"},
+      {"clients_tracked", "tcf_clients_tracked"},
+  };
+  for (const auto& [key, family] : twins) {
+    ASSERT_TRUE(stats.count(key)) << key;
+    ASSERT_TRUE(metrics.count(family)) << family;
+    EXPECT_NEAR(stats.at(key), metrics.at(family),
+                1e-5 * std::max(1.0, std::abs(stats.at(key))))
+        << key << " vs " << family;
+  }
+  if (num_shards > 1) {
+    EXPECT_EQ(stats.at("shards"), metrics.at("tcf_shards"));
+    EXPECT_EQ(stats.at("shard_queries"), metrics.at("tcf_shard_queries_total"));
+  }
+  EXPECT_GT(stats.at("queries"), 0);
+  EXPECT_EQ(stats.at("deadline_exceeded"), 1);
+  EXPECT_EQ(stats.at("rate_limited"), 1);
+  EXPECT_EQ(stats.at("reloads"), 1);
+  EXPECT_EQ(stats.at("updates"), 1);
+  EXPECT_EQ(metrics.at("tcf_queries_total"),
+            stats.at("queries") + stats.at("deadline_exceeded"));
+
+  EXPECT_TRUE(client->Quit().ok());
+  server.Shutdown();
+  std::remove(index_path.c_str());
+}
+
+TEST(TcpServerTest, StatsAgreeWithMetricsUnsharded) {
+  ExpectStatsAgreeWithMetrics(1);
+}
+
+TEST(TcpServerTest, StatsAgreeWithMetricsSharded) {
+  ExpectStatsAgreeWithMetrics(2);
 }
 
 TEST(TcpServerTest, StartReportsBindFailures) {

@@ -812,27 +812,17 @@ int CmdServe(const Args& args) {
       {"pass", "queries", "time(s)", "q/s", "p50(us)", "p99(us)", "hit rate"});
   ServeReport last;
   for (size_t pass = 0; pass < repeat; ++pass) {
-    const ResultCacheStats before = service.cache_stats();
-    service.stats().Reset();
+    const ServeReport before = service.Report();
     for (const std::vector<ServeQuery>& b : batches) {
       service.ExecuteBatch(b);
     }
-    last = service.Report();
-    // Scope the cumulative cache counters to this pass (entries/bytes
-    // are point-in-time and stay as-is), so the final report agrees
-    // with the per-pass table.
-    ResultCacheStats delta = last.cache;
-    delta.hits -= before.hits;
-    delta.misses -= before.misses;
-    delta.inserts -= before.inserts;
-    delta.evictions -= before.evictions;
-    last.cache = delta;
+    last = service.Report().Since(before);
     passes.AddRow({pass == 0 ? "cold" : StrFormat("warm%zu", pass),
                    TextTable::Num(last.queries),
                    TextTable::Num(last.wall_seconds),
                    TextTable::Num(last.qps), TextTable::Num(last.p50_us),
                    TextTable::Num(last.p99_us),
-                   TextTable::Num(delta.HitRate())});
+                   TextTable::Num(last.cache.HitRate())});
   }
   passes.Print(std::cout);
   std::printf("\nfinal pass report:\n");
